@@ -27,6 +27,12 @@ cargo build --release
 echo "== test =="
 cargo test -q
 
+echo "== benchmark self-tests =="
+# d3tbench is its own package outside the workspace, so the root `cargo
+# test` never runs its tests: the determinism self-test, tiny-scale
+# oracle and cold-twin equality, and set-up replay == Prepared::build.
+cargo test --release --offline --manifest-path d3tbench/Cargo.toml
+
 echo "== repro smoke =="
 cargo run --release -p d3t-experiments --bin repro -- fig4 --tiny > /dev/null
 # One timed base-config run per scheduler backend, emitting both tracked

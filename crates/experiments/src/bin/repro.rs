@@ -454,6 +454,21 @@ fn filter_smoke(scale: &Scale) {
     }
 }
 
+/// Prints `msg` and exits with status 2, the code for a bad command line.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2);
+}
+
+/// Parses the non-negative integer after `flag`, or exits through
+/// [`usage_error`] when it is missing or malformed.
+fn int_flag<T: std::str::FromStr>(flag: &str, value: Option<&String>) -> T {
+    let Some(v) = value else {
+        usage_error(&format!("`{flag}` needs a value"));
+    };
+    v.parse().unwrap_or_else(|_| usage_error(&format!("`{flag}` takes an integer, got `{v}`")))
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut wanted: Vec<String> = Vec::new();
@@ -476,11 +491,13 @@ fn main() {
             "--serial" => serial = true,
             "--heap" => queue = Some(QueueBackend::Heap),
             "--queue" => {
-                let v = iter.next().expect("--queue needs `calendar` or `heap`");
-                queue = Some(match v.as_str() {
-                    "calendar" => QueueBackend::Calendar,
-                    "heap" => QueueBackend::Heap,
-                    other => panic!("unknown queue backend `{other}`"),
+                queue = Some(match iter.next().map(String::as_str) {
+                    Some("calendar") => QueueBackend::Calendar,
+                    Some("heap") => QueueBackend::Heap,
+                    Some(other) => {
+                        usage_error(&format!("`--queue` takes `calendar` or `heap`, got `{other}`"))
+                    }
+                    None => usage_error("`--queue` needs `calendar` or `heap`"),
                 });
             }
             "smoke" => run_smoke = true,
@@ -491,30 +508,24 @@ fn main() {
             "scale-out" => run_scale_out = true,
             "whatif" => run_whatif = true,
             "--branches" => {
-                let v = iter.next().expect("--branches needs a value");
-                n_branches = v.parse().expect("--branches must be an integer");
+                n_branches = int_flag("--branches", iter.next());
             }
             "--ticks" => {
-                let v = iter.next().expect("--ticks needs a value");
-                scale.n_ticks = v.parse().expect("--ticks must be an integer");
+                scale.n_ticks = int_flag("--ticks", iter.next());
             }
             "--seed" => {
-                let v = iter.next().expect("--seed needs a value");
-                scale.seed = v.parse().expect("--seed must be an integer");
+                scale.seed = int_flag("--seed", iter.next());
             }
             "--batch" => {
-                let v = iter.next().expect("--batch needs a value");
-                scale.batch_events = Some(v.parse().expect("--batch must be an integer"));
+                scale.batch_events = Some(int_flag("--batch", iter.next()));
             }
             "--repos" => {
-                let v = iter.next().expect("--repos needs a value");
-                scale.n_repos = v.parse().expect("--repos must be an integer");
+                scale.n_repos = int_flag("--repos", iter.next());
                 // Keep the paper's 7-nodes-per-repository fabric ratio.
                 scale.n_network_nodes = scale.n_repos * 7;
             }
             "--items" => {
-                let v = iter.next().expect("--items needs a value");
-                scale.n_items = v.parse().expect("--items must be an integer");
+                scale.n_items = int_flag("--items", iter.next());
             }
             "list" => {
                 for id in IDS {
@@ -524,10 +535,7 @@ fn main() {
             }
             "all" => wanted.extend(IDS.iter().map(|s| s.to_string())),
             other if IDS.contains(&other) => wanted.push(other.to_string()),
-            other => {
-                eprintln!("unknown argument `{other}`; try `repro list`");
-                std::process::exit(2);
-            }
+            other => usage_error(&format!("unknown argument `{other}`; try `repro list`")),
         }
     }
     if let Some(q) = queue {
@@ -542,11 +550,10 @@ fn main() {
         || run_whatif
     {
         if !wanted.is_empty() {
-            eprintln!(
+            usage_error(
                 "`smoke`/`filter`/`queue-json`/`phases`/`resilience`/`scale-out`/`whatif` run \
-                 timed cells and cannot be combined with experiment ids"
+                 timed cells and cannot be combined with experiment ids",
             );
-            std::process::exit(2);
         }
         if run_smoke {
             smoke(&scale);

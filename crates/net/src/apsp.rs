@@ -8,21 +8,57 @@
 //! so materializing the full `V × V` matrix in `O(V³)` is wasted work.
 //!
 //! [`OverlayApsp`] computes exactly the `m × m` sub-matrix the overlay
-//! needs by running one Dijkstra per overlay node over a CSR view of the
-//! graph (`O(m · E log V)`), fanning the sources out over a rayon-style
-//! thread pool. Results are bit-identical regardless of thread count: each
-//! source's single-source problem is solved independently and written to
-//! its own row.
+//! needs with one label-setting search per overlay node over a CSR view
+//! of the graph, fanning the sources out over a rayon-style thread pool.
+//! Results are bit-identical regardless of thread count: each source's
+//! single-source problem is solved independently and written to its own
+//! row.
+//!
+//! # The bucket kernel
+//!
+//! Every search orders its frontier with Dial's cyclic bucket queue
+//! (Dial, CACM 1969) instead of a binary heap. A label with delay `d`
+//! goes to bucket `⌊d / width⌋`, and the width is **half** the smallest
+//! link delay of the graph (1 ms for the paper's 2 ms Pareto minimum).
+//! Every relaxation therefore moves at least two widths forward and can
+//! never land in the bucket being drained, even after floating-point
+//! rounding; at a width equal to the minimum it can, and the result then
+//! drifts from the heap's on graphs with many equal-delay paths. So when
+//! a bucket is reached, every label in it is final: the bucket drains in
+//! any order with a settled flag to skip superseded entries, and a
+//! source's search stops at the first bucket boundary where every
+//! overlay target is settled. The ring holds `⌈max / width⌉ + 2`
+//! buckets, rounded up to a power of two (64 for 2–60 ms links), so one
+//! lap covers every pending label; a search costs `O(E + V + D / width)`
+//! for largest overlay delay `D`, against the heap's `O(E log V)`.
+//!
+//! The kernel is exact for any positive, finite delays, and memory stays
+//! bounded: the ring is capped at `MAX_RING` slots, and a slot shared by
+//! several laps keeps the entries of later laps until their turn. Past
+//! `d / width ≥ 2⁴⁸`, where `⌊d / width⌋` is no longer safe from
+//! rounding, the bucket key becomes the bit pattern of `d` itself, so a
+//! bucket holds one delay value and drains by hop improvements (see
+//! `BucketKey`). Neither case occurs on the paper's networks.
+//!
+//! Both the heap and the bucket kernel compute the unique fixed point of
+//! `L(v) = min_u (L(u).delay + w(u, v), L(u).hops + 1)` under the
+//! lexicographic `(delay, hops)` order, so the matrices match the heap
+//! Dijkstra bit for bit; the unit tests keep that heap Dijkstra as the
+//! oracle. On the 4,200-node / 601-source anchor graph, single-threaded
+//! on a 2-vCPU Xeon VM, the buckets run 2.2–2.7× faster than that heap.
+//! Two other frontiers were measured there and lost: a `BinaryHeap` with
+//! packed `u64` keys plus the same early exit (1.3–1.6×), and a radix
+//! heap keyed on the `f64` bits (1.0–1.4×).
 //!
 //! [`Apsp::floyd_warshall`] is kept as the independent oracle the property
 //! tests compare against (and it remains the reference implementation of
 //! the paper's routing construction).
 //!
 //! Tie-breaking: among equal-delay paths, [`OverlayApsp`] prefers fewer
-//! hops (lexicographic `(delay, hops)` Dijkstra). Floyd–Warshall keeps the
-//! first strictly-shorter path it encounters, so on graphs with exact
-//! equal-delay alternatives its hop counts can exceed the overlay engine's;
-//! with continuously distributed link delays the two agree.
+//! hops. Floyd–Warshall keeps the first strictly-shorter path it
+//! encounters, so on graphs with exact equal-delay alternatives its hop
+//! counts can exceed the overlay engine's; with continuously distributed
+//! link delays the two agree.
 
 use rayon::prelude::*;
 
@@ -153,9 +189,9 @@ pub struct OverlayApsp {
 }
 
 impl OverlayApsp {
-    /// Runs one `(delay, hops)`-lexicographic Dijkstra per overlay node
-    /// over a CSR view of `topo`, in parallel, and gathers the overlay
-    /// columns of each row.
+    /// Runs one `(delay, hops)`-lexicographic bucket-queue search per
+    /// overlay node over a CSR view of `topo`, in parallel, and gathers
+    /// the overlay columns of each row.
     ///
     /// # Panics
     /// Panics if `overlay` contains an out-of-range node id.
@@ -167,23 +203,32 @@ impl OverlayApsp {
     /// hold one avoid rebuilding it per overlay set).
     pub fn compute_csr(csr: &Csr, overlay: &[NodeId]) -> Self {
         let n = csr.n_nodes();
+        let mut is_target = vec![false; n];
         for &node in overlay {
             assert!(node < n, "overlay node {node} out of range");
+            is_target[node] = true;
         }
-        let m = overlay.len();
-        // One independent single-source problem per overlay node; the
-        // parallel map keeps row order equal to `overlay` order, so the
-        // result is identical to the serial loop.
-        let rows: Vec<(Vec<f64>, Vec<u32>)> =
-            overlay.par_iter().map(|&src| dijkstra_with_hops_csr(csr, src)).collect();
-        let mut delay = vec![f64::INFINITY; m * m];
-        let mut hops = vec![u32::MAX; m * m];
-        for (i, (dist_row, hop_row)) in rows.iter().enumerate() {
-            for (j, &dst) in overlay.iter().enumerate() {
-                delay[i * m + j] = dist_row[dst];
-                hops[i * m + j] = hop_row[dst];
-            }
-        }
+        let (key, ring_len) = BucketKey::for_graph(csr);
+        // Sources go out in small chunks so each task reuses one search's
+        // scratch; the parallel map keeps chunk order, and each row depends
+        // on its source alone, so the result equals the serial loop.
+        let chunks: Vec<&[NodeId]> = overlay.chunks(SOURCES_PER_TASK).collect();
+        let rows: Vec<(Vec<f64>, Vec<u32>)> = chunks
+            .par_iter()
+            .map(|sources| {
+                let mut search = BucketSearch::new(csr, key, ring_len, &is_target);
+                let mut delay = Vec::with_capacity(sources.len() * overlay.len());
+                let mut hops = Vec::with_capacity(sources.len() * overlay.len());
+                for &src in sources.iter() {
+                    search.run(src);
+                    delay.extend(overlay.iter().map(|&dst| search.dist[dst]));
+                    hops.extend(overlay.iter().map(|&dst| search.hops[dst]));
+                }
+                (delay, hops)
+            })
+            .collect();
+        let delay = rows.iter().flat_map(|(delay, _)| delay.iter().copied()).collect();
+        let hops = rows.iter().flat_map(|(_, hops)| hops.iter().copied()).collect();
         Self { nodes: overlay.to_vec(), delay, hops }
     }
 
@@ -218,117 +263,270 @@ impl OverlayApsp {
     }
 }
 
-/// Single-source Dijkstra over a CSR graph, minimizing `(delay, hops)`
-/// lexicographically; ties beyond that break toward lower node ids, making
-/// the scan order — and therefore the output — fully deterministic.
-pub fn dijkstra_with_hops_csr(csr: &Csr, src: NodeId) -> (Vec<f64>, Vec<u32>) {
-    use std::cmp::Ordering;
-    use std::collections::BinaryHeap;
+/// Sources per parallel task: each task reuses one [`BucketSearch`]'s
+/// scratch across its sources while leaving enough tasks (76 for the
+/// anchor's 601 sources) to balance the pool.
+const SOURCES_PER_TASK: usize = 8;
 
-    #[derive(PartialEq)]
-    struct Entry {
-        dist: f64,
-        hops: u32,
-        node: u32,
-    }
-    impl Eq for Entry {}
-    impl Ord for Entry {
-        fn cmp(&self, other: &Self) -> Ordering {
-            // Min-heap: reversed comparisons.
-            other
-                .dist
-                .partial_cmp(&self.dist)
-                .unwrap_or(Ordering::Equal)
-                .then_with(|| other.hops.cmp(&self.hops))
-                .then_with(|| other.node.cmp(&self.node))
-        }
-    }
-    impl PartialOrd for Entry {
-        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-            Some(self.cmp(other))
-        }
-    }
+/// Cap on the bucket ring's length. Graphs whose largest link delay
+/// exceeds `MAX_RING / 2` minimum delays share slots between laps instead
+/// of growing the ring.
+const MAX_RING: usize = 1 << 12;
 
-    let n = csr.n_nodes();
-    let mut dist = vec![f64::INFINITY; n];
-    let mut hops = vec![u32::MAX; n];
-    dist[src] = 0.0;
-    hops[src] = 0;
-    let mut heap = BinaryHeap::with_capacity(n / 4);
-    heap.push(Entry { dist: 0.0, hops: 0, node: src as u32 });
-    while let Some(Entry { dist: d, hops: h, node: u }) = heap.pop() {
-        let u = u as usize;
-        if d > dist[u] || (d == dist[u] && h > hops[u]) {
-            continue;
-        }
-        let (targets, weights) = csr.neighbors(u);
-        for (&v, &w) in targets.iter().zip(weights) {
-            let vu = v as usize;
-            let alt = d + w;
-            let alt_h = h + 1;
-            if alt < dist[vu] || (alt == dist[vu] && alt_h < hops[vu]) {
-                dist[vu] = alt;
-                hops[vu] = alt_h;
-                heap.push(Entry { dist: alt, hops: alt_h, node: v });
-            }
-        }
-    }
-    (dist, hops)
+/// Quotient `d / width` from which [`BucketKey`] switches to bit-pattern
+/// keys: below it, a relaxation always raises `⌊d / width⌋` despite
+/// rounding (the margin is ~2⁵⁰).
+const KEY_SPLIT: f64 = (1u64 << 48) as f64;
+
+/// Maps a path delay to its bucket number, monotone in the delay.
+#[derive(Debug, Clone, Copy)]
+struct BucketKey {
+    /// `1 / width`, with width half the graph's smallest link delay.
+    inv_width: f64,
 }
 
-/// Single-source Dijkstra over link delays — the independent oracle used by
-/// tests to validate Floyd–Warshall, and handy when only one row of the
-/// matrix is needed.
-pub fn dijkstra(topo: &Topology, src: NodeId) -> Vec<f64> {
-    use std::cmp::Ordering;
-    use std::collections::BinaryHeap;
-
-    #[derive(PartialEq)]
-    struct Entry {
-        dist: f64,
-        node: NodeId,
-    }
-    impl Eq for Entry {}
-    impl Ord for Entry {
-        fn cmp(&self, other: &Self) -> Ordering {
-            // Min-heap on dist; ties broken by node id for determinism.
-            other
-                .dist
-                .partial_cmp(&self.dist)
-                .unwrap_or(Ordering::Equal)
-                .then_with(|| other.node.cmp(&self.node))
-        }
-    }
-    impl PartialOrd for Entry {
-        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-            Some(self.cmp(other))
-        }
+impl BucketKey {
+    /// The key for `csr`'s delays and the ring length that holds one lap
+    /// of pending keys (`⌈max / width⌉ + 2`, rounded up to a power of two
+    /// and capped at [`MAX_RING`]).
+    fn for_graph(csr: &Csr) -> (Self, usize) {
+        let Some((min, max)) = csr.delay_range_ms() else {
+            // No links: the source is the only label, in bucket 0.
+            return (Self { inv_width: 0.0 }, 1);
+        };
+        // Infinite for subnormal minima; every key then takes the
+        // bit-pattern branch, which stays exact.
+        let inv_width = 2.0 / min;
+        let span = max * inv_width;
+        let ring_len = if span < MAX_RING as f64 {
+            (span as usize + 3).next_power_of_two().min(MAX_RING)
+        } else {
+            MAX_RING
+        };
+        (Self { inv_width }, ring_len)
     }
 
-    let n = topo.n_nodes();
-    let mut dist = vec![f64::INFINITY; n];
-    dist[src] = 0.0;
-    let mut heap = BinaryHeap::new();
-    heap.push(Entry { dist: 0.0, node: src });
-    while let Some(Entry { dist: d, node: u }) = heap.pop() {
-        if d > dist[u] {
-            continue;
+    /// `⌊d / width⌋`, or `2⁴⁸ + d.to_bits()` once that quotient reaches
+    /// [`KEY_SPLIT`]. Both branches are monotone and meet in order; in
+    /// the second, one key is one delay value, so a relaxation either
+    /// raises the key or keeps the delay and adds a hop.
+    #[inline]
+    fn of(self, d: f64) -> u64 {
+        let q = d * self.inv_width;
+        if q < KEY_SPLIT {
+            q as u64
+        } else {
+            KEY_SPLIT as u64 + d.to_bits()
         }
-        for &(v, li) in topo.neighbors(u) {
-            let alt = d + topo.links()[li].delay_ms;
-            if alt < dist[v] {
-                dist[v] = alt;
-                heap.push(Entry { dist: alt, node: v });
+    }
+}
+
+/// One worker's single-source search state, reused across its sources.
+struct BucketSearch<'a> {
+    csr: &'a Csr,
+    key: BucketKey,
+    /// Marks the overlay nodes; a search ends once all are settled.
+    is_target: &'a [bool],
+    n_targets: usize,
+    /// Delay from the current source, ms (`f64::INFINITY` if unreached).
+    dist: Vec<f64>,
+    /// Hops along that path (`u32::MAX` if unreached).
+    hops: Vec<u32>,
+    settled: Vec<bool>,
+    /// Cyclic bucket queue: slot `key & (len - 1)` holds node ids.
+    ring: Vec<Vec<u32>>,
+}
+
+impl<'a> BucketSearch<'a> {
+    fn new(csr: &'a Csr, key: BucketKey, ring_len: usize, is_target: &'a [bool]) -> Self {
+        let n = csr.n_nodes();
+        Self {
+            csr,
+            key,
+            is_target,
+            n_targets: is_target.iter().filter(|&&t| t).count(),
+            dist: vec![f64::INFINITY; n],
+            hops: vec![u32::MAX; n],
+            settled: vec![false; n],
+            ring: vec![Vec::new(); ring_len],
+        }
+    }
+
+    /// Fills `dist` and `hops` from `src`, exactly for every overlay
+    /// target (other nodes may be left unsettled by the early exit).
+    fn run(&mut self, src: NodeId) {
+        let Self { csr, key, is_target, n_targets, dist, hops, settled, ring } = self;
+        let (csr, key, is_target) = (*csr, *key, *is_target);
+        dist.fill(f64::INFINITY);
+        hops.fill(u32::MAX);
+        settled.fill(false);
+        ring.iter_mut().for_each(Vec::clear);
+        let mask = ring.len() as u64 - 1;
+        dist[src] = 0.0;
+        hops[src] = 0;
+        ring[0].push(src as u32);
+        let mut pending = 1usize;
+        let mut unsettled = *n_targets;
+        let mut cur = 0u64;
+        let mut idle = 0usize;
+        loop {
+            let slot = (cur & mask) as usize;
+            let mut drained = false;
+            let mut i = 0;
+            while i < ring[slot].len() {
+                let u = ring[slot][i] as usize;
+                if !settled[u] && key.of(dist[u]) != cur {
+                    i += 1; // a later lap sharing this slot
+                    continue;
+                }
+                ring[slot].swap_remove(i);
+                pending -= 1;
+                if settled[u] {
+                    continue; // superseded duplicate
+                }
+                settled[u] = true;
+                unsettled -= is_target[u] as usize;
+                drained = true;
+                let (d, h) = (dist[u], hops[u] + 1);
+                let (targets, weights) = csr.neighbors(u);
+                for (&v, &w) in targets.iter().zip(weights) {
+                    let v = v as usize;
+                    let alt = d + w;
+                    if alt < dist[v] || (alt == dist[v] && h < hops[v]) {
+                        if settled[v] {
+                            // Below the key split the half-minimum width
+                            // makes every settled label final. Under
+                            // bit-pattern keys `d + w` can round to `d`,
+                            // and a same-delay, fewer-hop label reopens
+                            // `v` inside the current bucket.
+                            if cur < KEY_SPLIT as u64 {
+                                continue;
+                            }
+                            settled[v] = false;
+                            unsettled += is_target[v] as usize;
+                        }
+                        dist[v] = alt;
+                        hops[v] = h;
+                        ring[(key.of(alt) & mask) as usize].push(v as u32);
+                        pending += 1;
+                    }
+                }
             }
+            if unsettled == 0 || pending == 0 {
+                break;
+            }
+            idle = if drained { 0 } else { idle + 1 };
+            if idle < ring.len() {
+                cur += 1;
+                continue;
+            }
+            // A whole lap with no label due: jump to the smallest pending
+            // key (only reachable on a capped ring).
+            let mut next = u64::MAX;
+            for slot in ring.iter_mut() {
+                slot.retain(|&v| !settled[v as usize]);
+                for &v in slot.iter() {
+                    next = next.min(key.of(dist[v as usize]));
+                }
+            }
+            pending = ring.iter().map(Vec::len).sum();
+            if pending == 0 {
+                break;
+            }
+            cur = next;
+            idle = 0;
         }
     }
-    dist
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pareto::Pareto;
     use crate::topology::Link;
+    use rand::Rng;
+
+    /// The oracle the bucket kernel replaced: single-source binary-heap
+    /// Dijkstra over a CSR graph, minimizing `(delay, hops)`
+    /// lexicographically; ties beyond that break toward lower node ids.
+    fn dijkstra_with_hops_csr(csr: &Csr, src: NodeId) -> (Vec<f64>, Vec<u32>) {
+        use std::cmp::Ordering;
+        use std::collections::BinaryHeap;
+
+        #[derive(PartialEq)]
+        struct Entry {
+            dist: f64,
+            hops: u32,
+            node: u32,
+        }
+        impl Eq for Entry {}
+        impl Ord for Entry {
+            fn cmp(&self, other: &Self) -> Ordering {
+                // Min-heap: reversed comparisons.
+                other
+                    .dist
+                    .total_cmp(&self.dist)
+                    .then_with(|| other.hops.cmp(&self.hops))
+                    .then_with(|| other.node.cmp(&self.node))
+            }
+        }
+        impl PartialOrd for Entry {
+            fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+                Some(self.cmp(other))
+            }
+        }
+
+        let n = csr.n_nodes();
+        let mut dist = vec![f64::INFINITY; n];
+        let mut hops = vec![u32::MAX; n];
+        dist[src] = 0.0;
+        hops[src] = 0;
+        let mut heap = BinaryHeap::with_capacity(n / 4);
+        heap.push(Entry { dist: 0.0, hops: 0, node: src as u32 });
+        while let Some(Entry { dist: d, hops: h, node: u }) = heap.pop() {
+            let u = u as usize;
+            if d > dist[u] || (d == dist[u] && h > hops[u]) {
+                continue;
+            }
+            let (targets, weights) = csr.neighbors(u);
+            for (&v, &w) in targets.iter().zip(weights) {
+                let vu = v as usize;
+                let alt = d + w;
+                let alt_h = h + 1;
+                if alt < dist[vu] || (alt == dist[vu] && alt_h < hops[vu]) {
+                    dist[vu] = alt;
+                    hops[vu] = alt_h;
+                    heap.push(Entry { dist: alt, hops: alt_h, node: v });
+                }
+            }
+        }
+        (dist, hops)
+    }
+
+    /// Asserts that the bucket kernel reproduces the heap oracle's delay
+    /// bits and hop counts for every overlay pair of `topo`.
+    fn assert_matches_heap_oracle(topo: &Topology, overlay: &[NodeId], what: &str) {
+        let csr = topo.csr();
+        let ov = OverlayApsp::compute_csr(&csr, overlay);
+        for (i, &a) in overlay.iter().enumerate() {
+            let (dist, hops) = dijkstra_with_hops_csr(&csr, a);
+            for (j, &b) in overlay.iter().enumerate() {
+                assert_eq!(
+                    ov.delay_ms_at(i, j).to_bits(),
+                    dist[b].to_bits(),
+                    "{what}: delay {a}->{b}: bucket {} heap {}",
+                    ov.delay_ms_at(i, j),
+                    dist[b],
+                );
+                assert_eq!(ov.hops_at(i, j), hops[b], "{what}: hops {a}->{b}");
+            }
+        }
+    }
+
+    /// An overlay of `m` nodes spread over `0..n`, node 0 first.
+    fn spread_overlay(n: usize, m: usize) -> Vec<NodeId> {
+        (0..m).map(|i| i * n / m).collect()
+    }
 
     fn line_graph(n: usize) -> Topology {
         let links = (0..n - 1).map(|i| Link { a: i, b: i + 1, delay_ms: (i + 1) as f64 }).collect();
@@ -364,13 +562,11 @@ mod tests {
 
     #[test]
     fn matches_dijkstra_on_random_graph() {
-        let topo = Topology::random(80, 3.5, 5, |rng| {
-            use rand::Rng;
-            rng.gen_range(1.0..20.0)
-        });
+        let topo = Topology::random(80, 3.5, 5, |rng| rng.gen_range(1.0..20.0));
         let apsp = Apsp::floyd_warshall(&topo);
+        let csr = topo.csr();
         for src in [0usize, 17, 42] {
-            let d = dijkstra(&topo, src);
+            let (d, _) = dijkstra_with_hops_csr(&csr, src);
             for (v, &dv) in d.iter().enumerate() {
                 assert!(
                     (apsp.delay_ms(src, v) - dv).abs() < 1e-9,
@@ -378,6 +574,59 @@ mod tests {
                     apsp.delay_ms(src, v),
                 );
             }
+        }
+    }
+
+    /// Property: the bucket kernel is bit-identical to the heap Dijkstra
+    /// on the paper's Pareto-delay networks, at the base (700 nodes / 101
+    /// overlay nodes) and anchor (4,200 / 601) sizes.
+    #[test]
+    fn bucket_kernel_matches_heap_oracle_on_paper_graphs() {
+        let pareto = Pareto::with_mean(2.0, 4.0);
+        for (n, m, seed) in [(700, 101, 1u64), (700, 101, 2), (4200, 601, 3)] {
+            let topo = Topology::random(n, 3.0, seed, |rng| pareto.sample_capped(rng, 60.0));
+            assert_matches_heap_oracle(&topo, &spread_overlay(n, m), &format!("pareto {n}/{seed}"));
+        }
+    }
+
+    /// Property: bit-identity on tie-heavy graphs, whose delays are a few
+    /// multiples of the minimum, so equal-delay paths with different hop
+    /// counts and sums that round onto bucket edges abound. A bucket width
+    /// equal to the minimum delay (instead of half) fails here.
+    #[test]
+    fn bucket_kernel_matches_heap_oracle_on_tied_delays() {
+        for seed in 0..40u64 {
+            let n = 60 + (seed as usize * 13) % 90;
+            let topo = Topology::random(n, 3.0 + (seed % 3) as f64 * 0.5, seed, |rng| {
+                [0.1, 0.2, 0.3][rng.gen_range(0..3usize)]
+            });
+            assert_matches_heap_oracle(&topo, &spread_overlay(n, n / 3), &format!("ties {seed}"));
+        }
+    }
+
+    /// Property: bit-identity when link delays span five orders of
+    /// magnitude (1 µs to 60 ms), which overflows the ring cap and shares
+    /// slots between laps.
+    #[test]
+    fn bucket_kernel_matches_heap_oracle_on_wide_delay_ratio() {
+        for seed in 0..4u64 {
+            let topo = Topology::random(300, 3.0, seed, |rng| {
+                10f64.powf(rng.gen_range(-3.0..60f64.log10()))
+            });
+            assert_matches_heap_oracle(&topo, &spread_overlay(300, 40), &format!("wide {seed}"));
+        }
+    }
+
+    /// Property: bit-identity at delay ratios where `d + w` rounds to `d`
+    /// and the minimum is subnormal, the range handled by bit-pattern
+    /// bucket keys.
+    #[test]
+    fn bucket_kernel_matches_heap_oracle_on_extreme_delay_ratio() {
+        for seed in 0..6u64 {
+            let topo = Topology::random(50, 3.5, seed, |rng| {
+                [5e-324, 1e-300, 1e-3, 1.0, 1e300][rng.gen_range(0..5usize)]
+            });
+            assert_matches_heap_oracle(&topo, &spread_overlay(50, 12), &format!("extreme {seed}"));
         }
     }
 
@@ -402,7 +651,6 @@ mod tests {
     /// oracle's delays *and* hop counts for every overlay pair.
     #[test]
     fn overlay_apsp_matches_floyd_warshall_oracle() {
-        use rand::Rng;
         for seed in 0..8u64 {
             let n = 40 + (seed as usize * 17) % 80;
             let topo = Topology::random(n, 3.0 + (seed % 3) as f64 * 0.5, seed, |rng| {
@@ -462,10 +710,7 @@ mod tests {
     /// pins it.)
     #[test]
     fn overlay_apsp_is_thread_count_invariant() {
-        let topo = Topology::random(90, 3.5, 13, |rng| {
-            use rand::Rng;
-            rng.gen_range(2.0..40.0)
-        });
+        let topo = Topology::random(90, 3.5, 13, |rng| rng.gen_range(2.0..40.0));
         let overlay: Vec<NodeId> = (0..90).step_by(4).collect();
         let baseline = OverlayApsp::compute(&topo, &overlay);
         for width in [1usize, 2, 7] {

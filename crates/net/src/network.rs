@@ -91,9 +91,9 @@ pub struct PhysicalNetwork {
 impl PhysicalNetwork {
     /// Generates the topology, places roles, and computes overlay delays.
     ///
-    /// Shortest paths from each overlay node are found with Dijkstra over
-    /// link delays (equivalent to the paper's Floyd–Warshall routing tables
-    /// but only materializing the rows the overlay needs).
+    /// Shortest paths from each overlay node are found with a bucket-queue
+    /// search over link delays (equivalent to the paper's Floyd–Warshall
+    /// routing tables but only materializing the rows the overlay needs).
     pub fn generate(cfg: &NetworkConfig, seed: u64) -> Self {
         let pareto = Pareto::with_mean(cfg.link_delay_min_ms, cfg.link_delay_mean_ms);
         let cap = cfg.link_delay_cap_ms;
@@ -107,9 +107,10 @@ impl PhysicalNetwork {
     /// Builds the overlay matrices from an explicit topology + placement
     /// (used by tests that need hand-crafted networks).
     ///
-    /// Delegates to [`OverlayApsp`]: one Dijkstra per overlay node over a
-    /// CSR view of the graph, fanned out across threads, instead of the
-    /// paper's full `O(V³)` Floyd–Warshall routing tables.
+    /// Delegates to [`OverlayApsp`]: one bucket-queue search per overlay
+    /// node over a CSR view of the graph, fanned out across threads and
+    /// stopped once every overlay node is settled, instead of the paper's
+    /// full `O(V³)` Floyd–Warshall routing tables.
     pub fn from_parts(topo: &Topology, placement: Placement) -> Self {
         assert!(topo.is_connected(), "physical network must be connected");
         let mut overlay_index = vec![usize::MAX; topo.n_nodes()];
@@ -228,6 +229,13 @@ impl PhysicalNetwork {
     pub fn delay_scale(&self) -> f64 {
         self.delay_scale
     }
+
+    /// Consumes the network into its dense `m × m` overlay delay matrix
+    /// (ms, row-major, zero diagonal). Rows and columns run in overlay
+    /// order: the source, then [`Self::repositories`] in order.
+    pub fn into_overlay_delays(self) -> Vec<f64> {
+        self.delay
+    }
 }
 
 #[cfg(test)]
@@ -275,12 +283,16 @@ mod tests {
     fn delay_matrix_is_symmetric_zero_diagonal() {
         let net = PhysicalNetwork::generate(&NetworkConfig::small(80, 15), 3);
         let overlay = net.placement.overlay_nodes();
+        let mut expected = Vec::new();
         for &a in &overlay {
             assert_eq!(net.delay_ms(a, a), 0.0);
             for &b in &overlay {
                 assert!((net.delay_ms(a, b) - net.delay_ms(b, a)).abs() < 1e-9);
+                expected.push(net.delay_ms(a, b));
             }
         }
+        // The moved-out matrix runs in the same source-then-repositories order.
+        assert_eq!(net.into_overlay_delays(), expected);
     }
 
     #[test]

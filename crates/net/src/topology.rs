@@ -165,7 +165,7 @@ impl Topology {
 /// Compressed-sparse-row adjacency: all neighbor lists in two flat arrays,
 /// indexed by a per-node offset table. Traversing a node's neighborhood is
 /// one contiguous scan instead of a pointer chase through per-node `Vec`s,
-/// which is what the multi-source Dijkstra in [`crate::apsp`] spends its
+/// which is what the per-source searches in [`crate::apsp`] spend their
 /// time doing.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Csr {
@@ -209,6 +209,13 @@ impl Csr {
     /// Number of directed edges (twice the link count).
     pub fn n_edges(&self) -> usize {
         self.targets.len()
+    }
+
+    /// Smallest and largest link delay, ms (`None` without links).
+    pub(crate) fn delay_range_ms(&self) -> Option<(f64, f64)> {
+        let mut it = self.weights_ms.iter().copied();
+        let first = it.next()?;
+        Some(it.fold((first, first), |(lo, hi), w| (lo.min(w), hi.max(w))))
     }
 
     /// `(neighbor, delay_ms)` pairs of `node`, as parallel slices.
