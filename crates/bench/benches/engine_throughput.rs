@@ -106,10 +106,6 @@ impl EventQueue<EventKind> for Recorder {
         TRACE.with(|t| t.borrow_mut().1 += n as u32);
         n
     }
-    fn peek_at(&mut self) -> Option<u64> {
-        // Non-consuming probe: nothing to record.
-        self.0.peek_at()
-    }
     fn snapshot_events(&self, out: &mut Vec<(u64, EventKind)>) {
         // Non-consuming capture: nothing to record.
         self.0.snapshot_events(out)

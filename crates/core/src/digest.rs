@@ -33,7 +33,7 @@ pub struct Fnv1a {
 
 impl Fnv1a {
     /// A hasher starting from the standard offset basis — this is the
-    /// domain `repro scale-out` report hashes live in.
+    /// domain the `repro whatif` report hashes live in.
     #[must_use]
     pub fn new() -> Self {
         Self { state: FNV_OFFSET }
@@ -99,9 +99,7 @@ impl Default for Fnv1a {
 }
 
 /// Unseeded FNV-1a over the `Debug` rendering of any value — the
-/// report-hash helper `repro scale-out` introduced, promoted here so
-/// scale-out, the snapshot digests and the ci.sh gates share one
-/// implementation. Every float bit pattern, counter and pair loss in
+/// report hash of the `repro whatif` cold-vs-warm gate. Every float bit pattern, counter and pair loss in
 /// the rendering lands in the digest, so two runs agreeing on the
 /// hash agree on the whole rendering.
 #[must_use]

@@ -133,16 +133,6 @@ pub struct Forwarding {
     pub checks: u64,
 }
 
-/// Flag bit a sharded caller sets in [`RunTouch::idx`] to mark a
-/// **mirror** touch: a delivery replayed on a replica that does not own
-/// the receiving node. [`Disseminator::on_run_into`] then applies only
-/// the state write ([`Disseminator::record_at`]'s row + parent-edge
-/// update — what a later decision *at an ancestor the replica does own*
-/// reads) and makes no forwarding decision for it. The bit lives in the
-/// staging index, so mirror-carrying runs must be staged in pop order,
-/// never sorted by [`RunTouch::group_key`].
-pub const MIRROR_TOUCH_BIT: u32 = 1 << 31;
-
 /// One staged event of a reorder-free run — the unit
 /// [`Disseminator::on_run_into`] and the fidelity tracker's
 /// run sink consume. A touch is either a source tick (`node ==
@@ -152,8 +142,7 @@ pub const MIRROR_TOUCH_BIT: u32 = 1 << 31;
 #[derive(Debug, Clone, Copy)]
 pub struct RunTouch {
     /// Position of the event in the run's original (pop) order — what
-    /// the caller scatters results back through. The top bit is
-    /// reserved: [`MIRROR_TOUCH_BIT`].
+    /// the caller scatters results back through.
     pub idx: u32,
     /// Receiving node; [`SOURCE`] marks a source tick.
     pub node: NodeIdx,
@@ -454,19 +443,6 @@ impl Disseminator {
         }
     }
 
-    /// Replays a delivery's state write on a **replica** disseminator
-    /// that did not process the delivery itself — the sharded engine's
-    /// barrier-time reconciliation primitive (value logs, and source
-    /// ticks on non-owning shards). Identical to what processing the
-    /// delivery would have written: the receiver-indexed row record and
-    /// the per-edge `last_sent` mirror in the parent's CSR run. Makes
-    /// no forwarding decision and touches no liveness or adoption
-    /// state.
-    #[inline]
-    pub fn record_replica(&mut self, item: ItemId, node: NodeIdx, value: f64) {
-        self.record(item, node, value);
-    }
-
     /// CSR bounds of `node`'s row for `item`.
     #[inline]
     fn row_range(&self, node: NodeIdx, item: ItemId) -> std::ops::Range<usize> {
@@ -715,18 +691,6 @@ impl Disseminator {
                 // d3t-lint: allow(P001) -- this branch pushed into out.updates a few lines above
                 let u = *out.updates.last().expect("source arm pushed its update");
                 out.source_checks += self.adopted_into(SOURCE, u, &mut out.to);
-            } else if t.idx & MIRROR_TOUCH_BIT != 0 {
-                // A mirror delivery: replay only the state write, so
-                // this replica's row and parent-edge copy of the
-                // receiver match the owning shard's (what a later
-                // decision at an owned ancestor reads). The owning
-                // shard already made and routed the forwarding
-                // decision, so nothing is decided here: the span pushed
-                // above stays empty, and the adoption sweep is skipped.
-                let row = t.item.index() * self.n_nodes + t.node.index();
-                let meta = self.rows[row];
-                self.record_at(row, meta.parent_edge, t.value);
-                out.updates.push(t.update());
             } else {
                 // Mirror of `on_repo_update_into` minus the liveness
                 // branch (filtered at gather, see above).
@@ -1211,34 +1175,6 @@ impl Disseminator {
     pub(crate) fn source_list_pairs(&self, item: ItemId) -> Vec<(Coherency, f64)> {
         let list = &self.source_lists[item.index()];
         list.c.iter().zip(&list.last).map(|(&c, &l)| (Coherency::new(c), l)).collect()
-    }
-
-    /// Adopts `node`'s *value* state (its per-item `last` copies, both
-    /// the row view and the per-edge mirror slot in its parent's row)
-    /// from another replica of the same compiled disseminator.
-    ///
-    /// This is the sharded-snapshot merge primitive: each shard owns a
-    /// node subset and is authoritative for those nodes' received
-    /// values, while all *structural* state (CSR layout, effective
-    /// coherencies, liveness, adoptions, source lists) is replicated
-    /// identically on every shard because control events are replayed
-    /// everywhere in the same order. Merging therefore only needs the
-    /// owner's value columns copied over a clone of any one replica.
-    ///
-    /// # Panics
-    /// Debug-asserts the two replicas share one compiled shape.
-    pub fn copy_node_state_from(&mut self, src: &Disseminator, node: NodeIdx) {
-        debug_assert_eq!(self.n_items, src.n_items);
-        debug_assert_eq!(self.n_nodes, src.n_nodes);
-        debug_assert_eq!(self.child_edges.len(), src.child_edges.len());
-        for i in 0..self.n_items {
-            let row = i * self.n_nodes + node.index();
-            self.rows[row].last = src.rows[row].last;
-            let pe = self.rows[row].parent_edge;
-            if pe != NO_EDGE {
-                self.child_edges[pe as usize].last = src.child_edges[pe as usize].last;
-            }
-        }
     }
 
     /// Approximate owned size of the protocol state in bytes (flat

@@ -12,7 +12,6 @@
 //! repro queue-json                # per-backend queue perf as one JSON doc
 //! repro phases                    # per-phase drain telemetry, PHASE lines + JSON
 //! repro resilience                # fault sweep, RESILIENCE lines + JSON
-//! repro scale-out                 # sharded drive at 1/2/4 shards, SHARD lines + JSON
 //! repro list                      # enumerate experiment ids
 //! ```
 //!
@@ -48,17 +47,6 @@
 //!
 //! ```text
 //! PHASE name=process events=243210 wall_us=93011
-//! ```
-//!
-//! `scale-out` drives **one** prepared input through the sharded engine
-//! at 1, 2 and 4 shards — one `SHARD` line per count carrying both the
-//! timing and the report digest, plus a JSON document `ci.sh` lands in
-//! `BENCH_shard.json`. The digests must agree across shard counts (the
-//! determinism gate CI always enforces); the speedup column is the perf
-//! acceptance, gated only on multi-core machines:
-//!
-//! ```text
-//! SHARD shards=4 events=243210 wall_us=67218 events_per_sec=3618224 speedup=2.69 report_hash=0x…
 //! ```
 //!
 //! Requested experiments fan out over the parallel sweep runner
@@ -307,66 +295,6 @@ fn resilience_json(scale: &Scale) {
     println!("}}");
 }
 
-/// FNV-1a over the full `Debug` rendering of a run report — every
-/// float bit pattern, counter and pair loss lands in the digest, so
-/// two shard counts agreeing on the hash agree on the whole report.
-fn report_hash(report: &impl std::fmt::Debug) -> u64 {
-    d3t_core::digest::debug_hash(report)
-}
-
-/// The sharded-engine scale-out cell: one prepared input, driven at
-/// 1, 2 and 4 shards, emitting one greppable `SHARD` line per count
-/// plus a JSON document `ci.sh` lands in `BENCH_shard.json`.
-///
-/// The `report_hash` field is the determinism gate: every shard count
-/// must agree on it (the sharded drive is bit-identical to the
-/// sequential oracle), and that gate holds on any machine. `speedup`
-/// is informational on shared CI runners — the perf acceptance
-/// (>1.5× at 4 shards, 10k+ repositories) is asserted by `ci.sh`
-/// only where `D3T_SKIP_PERF_GATE` is unset.
-fn scale_out(scale: &Scale) {
-    let mut prepared = scale.prepared();
-    let mut cells: Vec<(usize, u64, u64, u64, u64)> = Vec::new();
-    let mut base_eps = 0f64;
-    for n_shards in [1usize, 2, 4] {
-        prepared.set_shards(n_shards);
-        let start = Instant::now();
-        let report = prepared.run();
-        let wall_us = start.elapsed().as_micros().max(1) as u64;
-        let events = report.metrics.events;
-        let events_per_sec = (events as f64 / (wall_us as f64 / 1e6)).round() as u64;
-        if n_shards == 1 {
-            base_eps = events_per_sec as f64;
-        }
-        let speedup_x100 = (events_per_sec as f64 / base_eps * 100.0).round() as u64;
-        let hash = report_hash(&report);
-        println!(
-            "SHARD shards={n_shards} events={events} wall_us={wall_us} \
-             events_per_sec={events_per_sec} speedup={}.{:02} report_hash={hash:#018x}",
-            speedup_x100 / 100,
-            speedup_x100 % 100,
-        );
-        cells.push((n_shards, events, wall_us, events_per_sec, hash));
-    }
-    println!("{{");
-    println!(
-        "  \"scale\": {{\"repos\": {}, \"items\": {}, \"ticks\": {}, \"seed\": {}}},",
-        scale.n_repos, scale.n_items, scale.n_ticks, scale.seed
-    );
-    println!("  \"shards\": [");
-    for (i, (n, events, wall_us, eps, hash)) in cells.iter().enumerate() {
-        let comma = if i + 1 < cells.len() { "," } else { "" };
-        println!(
-            "    {{\"shards\": {n}, \"events\": {events}, \"wall_us\": {wall_us}, \
-             \"events_per_sec\": {eps}, \"speedup\": {:.2}, \"report_hash\": \"{hash:#018x}\"}}\
-             {comma}",
-            *eps as f64 / base_eps,
-        );
-    }
-    println!("  ]");
-    println!("}}");
-}
-
 /// The snapshot/branch amortization cell: one shared prefix to the
 /// half-run fork, one warm [`Snapshot`](d3t_sim::Snapshot), then
 /// `n_branches` divergent what-if scenarios each driven cold (full
@@ -469,6 +397,17 @@ fn int_flag<T: std::str::FromStr>(flag: &str, value: Option<&String>) -> T {
     v.parse().unwrap_or_else(|_| usage_error(&format!("`{flag}` takes an integer, got `{v}`")))
 }
 
+/// [`int_flag`] for a count that must be at least `min`: a smaller value
+/// exits through [`usage_error`] instead of reaching a library assert
+/// (an empty trace, a zero-length loss window, an empty workload).
+fn count_flag(flag: &str, value: Option<&String>, min: usize) -> usize {
+    let n: usize = int_flag(flag, value);
+    if n < min {
+        usage_error(&format!("`{flag}` must be at least {min}, got {n}"));
+    }
+    n
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut wanted: Vec<String> = Vec::new();
@@ -479,7 +418,6 @@ fn main() {
     let mut run_queue_json = false;
     let mut run_phases = false;
     let mut run_resilience = false;
-    let mut run_scale_out = false;
     let mut run_whatif = false;
     let mut n_branches = 8usize;
     let mut queue: Option<QueueBackend> = None;
@@ -505,27 +443,28 @@ fn main() {
             "queue-json" => run_queue_json = true,
             "phases" => run_phases = true,
             "resilience" => run_resilience = true,
-            "scale-out" => run_scale_out = true,
             "whatif" => run_whatif = true,
             "--branches" => {
-                n_branches = int_flag("--branches", iter.next());
+                n_branches = count_flag("--branches", iter.next(), 1);
             }
             "--ticks" => {
-                scale.n_ticks = int_flag("--ticks", iter.next());
+                // One tick has a zero-length horizon: no loss window,
+                // phase or fork instant fits inside it.
+                scale.n_ticks = count_flag("--ticks", iter.next(), 2);
             }
             "--seed" => {
                 scale.seed = int_flag("--seed", iter.next());
             }
             "--batch" => {
-                scale.batch_events = Some(int_flag("--batch", iter.next()));
+                scale.batch_events = Some(count_flag("--batch", iter.next(), 1));
             }
             "--repos" => {
-                scale.n_repos = int_flag("--repos", iter.next());
+                scale.n_repos = count_flag("--repos", iter.next(), 1);
                 // Keep the paper's 7-nodes-per-repository fabric ratio.
                 scale.n_network_nodes = scale.n_repos * 7;
             }
             "--items" => {
-                scale.n_items = int_flag("--items", iter.next());
+                scale.n_items = count_flag("--items", iter.next(), 1);
             }
             "list" => {
                 for id in IDS {
@@ -541,18 +480,11 @@ fn main() {
     if let Some(q) = queue {
         scale.queue = q;
     }
-    if run_smoke
-        || run_filter
-        || run_queue_json
-        || run_phases
-        || run_resilience
-        || run_scale_out
-        || run_whatif
-    {
+    if run_smoke || run_filter || run_queue_json || run_phases || run_resilience || run_whatif {
         if !wanted.is_empty() {
             usage_error(
-                "`smoke`/`filter`/`queue-json`/`phases`/`resilience`/`scale-out`/`whatif` run \
-                 timed cells and cannot be combined with experiment ids",
+                "`smoke`/`filter`/`queue-json`/`phases`/`resilience`/`whatif` run timed \
+                 cells and cannot be combined with experiment ids",
             );
         }
         if run_smoke {
@@ -569,9 +501,6 @@ fn main() {
         }
         if run_resilience {
             resilience_json(&scale);
-        }
-        if run_scale_out {
-            scale_out(&scale);
         }
         if run_whatif {
             whatif_cmd(&scale, n_branches);

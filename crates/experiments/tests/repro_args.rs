@@ -1,5 +1,6 @@
-//! Command-line errors of the `repro` binary: a malformed or missing flag
-//! value exits with status 2 and a message naming the flag, never a panic.
+//! Command-line errors of the `repro` binary: a malformed, missing or
+//! out-of-range flag value exits with status 2 and a message naming the
+//! flag, never a panic.
 
 use std::process::Command;
 
@@ -21,11 +22,22 @@ fn malformed_flag_values_exit_2_without_panicking() {
         &["--queue", "fifo"],
         &["--ticks"],
         &["--queue"],
+        // Counts the library would assert on (an empty trace, a
+        // zero-length loss window, an empty workload) or silently clamp.
+        &["dynamics", "--tiny", "--ticks", "0"],
+        &["resilience", "--tiny", "--ticks", "1"],
+        &["whatif", "--tiny", "--ticks", "1"],
+        &["phases", "--repos", "0"],
+        &["phases", "--repos", "10", "--items", "0"],
+        &["whatif", "--tiny", "--branches", "0"],
+        &["smoke", "--tiny", "--batch", "0"],
     ] {
         let (code, stderr) = repro(args);
         assert_eq!(code, Some(2), "{args:?}: stderr {stderr}");
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
-        assert!(stderr.contains(args[0]), "{args:?}: {stderr}");
+        // The offending flag is the last one on the line.
+        let flag = args.iter().rev().find(|a| a.starts_with("--")).expect("a flag");
+        assert!(stderr.contains(flag), "{args:?}: {stderr}");
     }
 }
 

@@ -42,15 +42,6 @@
 //!   `partial_cmp(..).unwrap()` ordering on floats in deterministic
 //!   library code; use `f64::total_cmp` or the documented total-order
 //!   helpers.
-//! * **S-series — sharding discipline.** Scoped to the sharded engine's
-//!   library files (`d3t-sim` lib files named `*shard*`), whose
-//!   bit-identity with the scalar oracle rests on two structural
-//!   invariants: `S001` event-queue pushes happen only inside the
-//!   `route_*` exchange functions (everything else stages cross-shard
-//!   sends through the epoch outboxes, so stamps are assigned at the
-//!   barrier merge); `S002` no shared-mutable state (`static mut`,
-//!   `RefCell`/`Cell`/`UnsafeCell`, `Rc`) — shard state lives in
-//!   `Mutex`-guarded `ShardState` and is exchanged only at barriers.
 //! * **L-series — lint hygiene (framework-owned).** `L001` malformed
 //!   suppression pragma (unparsable, unknown code, or missing reason);
 //!   `L002` allowlist entry that no longer suppresses anything.

@@ -3,9 +3,9 @@
 //! Each rule is a pure function over one file's token stream plus the
 //! file's classification (crate, lib/test/bench/bin/example, in-file
 //! test regions). Rules never read other files — cross-file policy
-//! (allowlists, suppression) lives in the framework. New series (e.g.
-//! the sharding PR's S-series) extend [`RULE_PACK`] without touching
-//! the framework.
+//! (allowlists, suppression) lives in the framework. A new series
+//! extends [`RULE_PACK`] without touching the framework, and leaves it
+//! together with the subsystem it guards.
 //!
 //! | Code | Invariant protected |
 //! |------|---------------------|
@@ -16,11 +16,9 @@
 //! | U001 | Every `unsafe` is immediately preceded by a `// SAFETY:` comment justifying it. |
 //! | P001 | No `unwrap()`/`expect()`/`panic!` in det-crates' non-test lib code — return errors, or document the invariant in an allow pragma. |
 //! | F001 | No `partial_cmp(..).unwrap()/expect()` sort keys — float ordering goes through `f64::total_cmp` or the documented total-order helpers. |
-//! | S001 | In shard code, event-queue pushes happen only inside the `route_*` exchange functions — cross-shard sends stage through epoch outboxes. |
-//! | S002 | No shared-mutable state (`static mut`, `RefCell`/`Cell`/`UnsafeCell`/`Rc`) in shard code — shards exchange only at the barrier, through their `Mutex`es. |
 
 use crate::lexer::{Tok, TokKind};
-use crate::{Diagnostic, FileClass, FileCtx, Krate};
+use crate::{Diagnostic, FileCtx};
 
 /// One lint rule: stable code, one-line summary (docs + JSON), and the
 /// per-file check.
@@ -67,16 +65,6 @@ pub static RULE_PACK: &[Rule] = &[
         code: "F001",
         summary: "float ordering via partial_cmp(..).unwrap(); use total_cmp / total-order helpers",
         check: f001_float_order,
-    },
-    Rule {
-        code: "S001",
-        summary: "shard-code queue push outside the route_* exchange functions",
-        check: s001_shard_queue_sends,
-    },
-    Rule {
-        code: "S002",
-        summary: "shared-mutable state (static mut / interior mutability / Rc) in shard code",
-        check: s002_shard_shared_mutable,
     },
 ];
 
@@ -274,132 +262,6 @@ fn f001_float_order(ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
                         .to_string(),
                 ),
             );
-        }
-    }
-}
-
-/// Scope of the S-series: sharded-engine library files (any `d3t-sim`
-/// lib file whose name mentions `shard`). The invariants they protect —
-/// the epoch-inbox send discipline and barrier-only state exchange —
-/// are what make the parallel drive bit-identical to the scalar oracle.
-fn shard_file_scope(ctx: &FileCtx) -> bool {
-    ctx.krate == Krate::Sim
-        && ctx.class == FileClass::Lib
-        && ctx.rel.rsplit('/').next().is_some_and(|name| name.contains("shard"))
-}
-
-/// Line regions of `fn route_*` bodies — the sanctioned exchange-side
-/// queue-push sites. Mirrors the brace-matching of the test-region
-/// scanner, keyed on the function name instead of an attribute.
-fn route_fn_regions(code: &[Tok]) -> Vec<(u32, u32)> {
-    let mut regions = Vec::new();
-    let mut i = 0usize;
-    while i < code.len() {
-        let named_route = ident(code, i, "fn")
-            && code
-                .get(i + 1)
-                .is_some_and(|t| t.kind == TokKind::Ident && t.text.starts_with("route_"));
-        if !named_route {
-            i += 1;
-            continue;
-        }
-        // Skip the signature to the body `{` (or `;` for a trait decl),
-        // then match the braces.
-        let mut j = i + 2;
-        while j < code.len() && !punct(code, j, "{") && !punct(code, j, ";") {
-            j += 1;
-        }
-        if j >= code.len() || punct(code, j, ";") {
-            i = j + 1;
-            continue;
-        }
-        let mut depth = 0usize;
-        let mut e = j;
-        while e < code.len() {
-            if punct(code, e, "{") {
-                depth += 1;
-            } else if punct(code, e, "}") {
-                depth -= 1;
-                if depth == 0 {
-                    break;
-                }
-            }
-            e += 1;
-        }
-        let end_line = code.get(e).map_or(u32::MAX, |t| t.line);
-        regions.push((code[i].line, end_line));
-        i = e + 1;
-    }
-    regions
-}
-
-/// How many tokens before a `.push(` the receiver chain is inspected
-/// for a queue-named ident (`self . queue . push` needs 4).
-const S001_RECEIVER_WINDOW: usize = 6;
-
-fn s001_shard_queue_sends(ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
-    if !shard_file_scope(ctx) {
-        return;
-    }
-    let routes = route_fn_regions(&ctx.code);
-    let code = &ctx.code[..];
-    for i in 0..code.len() {
-        let t = &code[i];
-        if t.kind != TokKind::Ident
-            || !matches!(t.text, "push" | "push_batch")
-            || i == 0
-            || !punct(code, i - 1, ".")
-            || !punct(code, i + 1, "(")
-            || ctx.in_test(t.line)
-        {
-            continue;
-        }
-        let on_queue = code[i.saturating_sub(S001_RECEIVER_WINDOW)..i]
-            .iter()
-            .any(|u| u.kind == TokKind::Ident && u.text.starts_with("queue"));
-        if !on_queue || routes.iter().any(|&(a, b)| (a..=b).contains(&t.line)) {
-            continue;
-        }
-        out.push(
-            ctx.diag(
-                "S001",
-                t,
-                "direct shard-queue push outside the route_* exchange functions; cross-shard \
-             sends stage into the epoch outbox and land at the barrier, where the merge \
-             re-stamps them under the push contract"
-                    .to_string(),
-            ),
-        );
-    }
-}
-
-fn s002_shard_shared_mutable(ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
-    if !shard_file_scope(ctx) {
-        return;
-    }
-    let code = &ctx.code[..];
-    for i in 0..code.len() {
-        let t = &code[i];
-        if t.kind != TokKind::Ident || ctx.in_test(t.line) {
-            continue;
-        }
-        let hit = if t.text == "static" && ident(code, i + 1, "mut") {
-            Some("static mut")
-        } else if matches!(t.text, "RefCell" | "Cell" | "UnsafeCell" | "Rc") {
-            Some(t.text)
-        } else {
-            None
-        };
-        if let Some(what) = hit {
-            out.push(ctx.diag(
-                "S002",
-                t,
-                format!(
-                    "`{what}` lets shard state mutate outside the exchange barrier; all \
-                     cross-shard state lives in the Mutex-guarded ShardState and moves only \
-                     at the barrier, or the determinism argument collapses"
-                ),
-            ));
         }
     }
 }

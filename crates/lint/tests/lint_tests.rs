@@ -128,43 +128,6 @@ fn f001_ignores_total_cmp_and_matched_partial_cmp() {
     assert_clean(&lint_as_core("f001_neg.rs"));
 }
 
-/// Lints a fixture as if it were the sharded engine's runner file, so
-/// the S-series scope applies.
-fn lint_as_shard(name: &str) -> Vec<Diagnostic> {
-    lint_source("crates/sim/src/shard.rs", &fixture(name))
-}
-
-#[test]
-fn s001_fires_on_queue_push_outside_route_fns() {
-    let diags = lint_as_shard("s001_pos.rs");
-    assert_all(&diags, "S001");
-    assert_eq!(diags.len(), 2, "bare and field-qualified queue pushes: {:?}", codes(&diags));
-}
-
-#[test]
-fn s001_ignores_route_fns_and_non_queue_pushes() {
-    assert_clean(&lint_as_shard("s001_neg.rs"));
-}
-
-#[test]
-fn s001_is_scoped_to_shard_files() {
-    // The same pushes in a non-shard sim file (the sequential engine
-    // pushes into its own queue freely) must not fire.
-    assert_clean(&lint_source("crates/sim/src/queue.rs", &fixture("s001_pos.rs")));
-}
-
-#[test]
-fn s002_fires_on_static_mut_and_interior_mutability() {
-    let diags = lint_as_shard("s002_pos.rs");
-    assert_all(&diags, "S002");
-    assert_eq!(diags.len(), 3, "static mut + two RefCell mentions: {:?}", codes(&diags));
-}
-
-#[test]
-fn s002_ignores_owned_per_shard_state() {
-    assert_clean(&lint_as_shard("s002_neg.rs"));
-}
-
 #[test]
 fn pragma_with_reason_suppresses_next_line() {
     assert_clean(&lint_as_core("pragma_ok.rs"));

@@ -19,9 +19,6 @@
 //!   faster than the binary-heap Dijkstra it replaced, and bit-identical
 //!   to it. A packed-key heap and a radix heap were measured and lost.
 //!   Floyd–Warshall is kept as the property-test oracle;
-//! * [`partition`] — deterministic weighted partitioning over CSR
-//!   (seeded BFS region growth + label-propagation refinement),
-//!   the cut-minimizer behind the simulator's sharded engine;
 //! * [`placement`] — choosing which nodes are the source, repositories,
 //!   and routers;
 //! * [`network`] — the assembled [`network::PhysicalNetwork`] facade the
@@ -39,7 +36,6 @@
 pub mod apsp;
 pub mod network;
 pub mod pareto;
-pub mod partition;
 pub mod placement;
 pub mod topology;
 

@@ -70,18 +70,6 @@ pub struct SimConfig {
     /// cap-independent — batching never reorders observable work; this
     /// only trades staging-buffer footprint against amortization.
     pub batch_events: usize,
-    /// Number of engine shards the run loop may spread across cores
-    /// (clamped to the repository count). `1` — the default — is the
-    /// sealed sequential engine. `> 1` drives the conservative
-    /// parallel engine (`crate::shard`): the overlay is partitioned
-    /// once, each shard drains epochs of the shared lookahead window
-    /// concurrently, and cross-shard sends exchange at deterministic
-    /// barriers. Reports are shard-count *deterministic* (a pure
-    /// function of `(config, seed, n_shards)` on either backend) and
-    /// bit-identical to the sequential engine; configurations the
-    /// sharded path cannot preserve (lossy/degraded links, zero
-    /// lookahead) fall back to `1` silently.
-    pub n_shards: usize,
     /// Declarative failure scenario installed into every session built
     /// from this configuration. The default plan is inert — it draws
     /// nothing and changes nothing, keeping runs bit-identical to the
@@ -113,7 +101,6 @@ impl Default for SimConfig {
             ensemble: EnsembleConfig::default(),
             queue: QueueBackend::default(),
             batch_events: crate::session::DEFAULT_BATCH_EVENTS,
-            n_shards: 1,
             fault: crate::fault::FaultPlan::default(),
             seed: 0x5EED,
         }

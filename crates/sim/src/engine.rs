@@ -108,21 +108,10 @@
 //!   arrivals, so `log n` is short and cache-hot); the calendar stays a
 //!   few percent ahead and keeps its structural lead when the pending
 //!   set is deep, so it remains the default.
-//! * **Scaling past one core is spatial, not per-event.** The PR 6
-//!   drain is compute-bound at roughly 140 ns/event with no
-//!   single-thread lever left, so [`crate::shard`] partitions the
-//!   overlay into per-core shards (tolerance-weighted cut minimization
-//!   over the d3g CSR) and runs this same run-staged drain once per
-//!   shard inside the conservative-PDES lookahead bound: with
-//!   `W = comp_delay + min_offdiag_link` (exactly
-//!   `Session::batch_window_us`), an event at time `t` can only cause
-//!   events at `t + W` or later, so every event strictly below
-//!   `min(t_min) + W` — `t_min` probed per epoch via
-//!   [`peek_at`](crate::queue::EventQueue::peek_at) — is reorder-free
-//!   across shards. Cross-shard sends ride per-shard epoch outboxes
-//!   merged at the barrier in global creation order; the 1-shard path
-//!   stays bit-identical to this loop, and fixed `(seed, N)` replays
-//!   bit-identically at any thread schedule.
+//! * **One sequential drive.** The drain is compute-bound at roughly
+//!   140 ns/event and runs on one thread; more cores pay at the cell
+//!   level, not inside one run (see "Using more cores" in the crate
+//!   docs).
 //!
 //! Experiment setup cost lives in [`crate::prepared`], not here.
 

@@ -100,30 +100,9 @@ impl Prepared {
     /// scheduler backend the configuration selects (the selection goes
     /// through [`QueueBackend::dispatch`](crate::queue::QueueBackend),
     /// the one place backends become types). Reports are backend
-    /// independent (bit-identical) by construction. Configurations with
-    /// `n_shards > 1` drive the conservative parallel engine
-    /// (`crate::shard`); its report is bit-identical to the sequential
-    /// drive and deterministic for a fixed `(seed, n_shards)`.
+    /// independent (bit-identical) by construction. This is the one
+    /// sequential drive every run takes.
     pub fn run(&self) -> RunReport {
-        if self.cfg.n_shards > 1 {
-            return crate::shard::run_sharded(self);
-        }
-        self.run_unsharded()
-    }
-
-    /// Re-targets this prepared run at a different shard count without
-    /// re-deriving anything (`n_shards` is a drive-time knob: the
-    /// network, traces, workload and overlay are shard-independent).
-    /// The scale-out harness uses this to compare shard counts over
-    /// bit-identical inputs.
-    pub fn set_shards(&mut self, n_shards: usize) {
-        self.cfg.n_shards = n_shards.max(1);
-    }
-
-    /// The sequential (single-shard) drive behind [`Prepared::run`] —
-    /// also the fallback the sharded engine takes for configurations it
-    /// cannot preserve (lossy links, zero lookahead).
-    pub(crate) fn run_unsharded(&self) -> RunReport {
         struct Run<'a>(&'a Prepared);
         impl QueueVisitor<EventKind> for Run<'_> {
             type Out = RunReport;
@@ -198,22 +177,9 @@ impl Prepared {
         session
     }
 
-    /// Runs the configured drive to `t_us` and captures a [`Snapshot`]
-    /// there — the cheapest way to a warm fork point. With
-    /// `n_shards > 1` the prefix runs on the sharded engine and the
-    /// capture happens at an epoch barrier, merged back into the
-    /// sequential state shape: the snapshot digests equal to (and
-    /// resumes bit-identical to) a single-shard session snapshotted at
-    /// the same instant. Configurations the sharded drive cannot serve
-    /// (lossy or degraded plans, unbounded horizon, zero lookahead)
-    /// fall back to a sequential prefix silently, exactly like
-    /// [`Prepared::run`].
+    /// Runs a session to `t_us` and captures a [`Snapshot`] there — the
+    /// cheapest way to a warm fork point.
     pub fn snapshot_at(&self, t_us: u64) -> Snapshot {
-        if self.cfg.n_shards > 1 {
-            if let Some(snap) = crate::shard::snapshot_sharded(self, t_us) {
-                return snap;
-            }
-        }
         let mut session = self.session();
         session.run_until(t_us);
         session.snapshot()
@@ -234,11 +200,6 @@ impl Prepared {
             self.cfg.comp_delay_ms,
             self.end_us,
         )
-    }
-
-    /// The shared flattened µs delay matrix of this prepared run.
-    pub(crate) fn delay_micros(&self) -> &Arc<DelayMicros> {
-        &self.delays_us
     }
 
     /// Wraps a finished run's outputs with the overlay statistics every

@@ -155,25 +155,6 @@
 //! simulation configurations whose CPU queues stack arrivals — and it
 //! stays the default.
 //!
-//! # Sharded drains: the epoch/lookahead bound
-//!
-//! The sharded engine (`d3t_sim::shard`) runs one queue of this trait
-//! per shard. Its safety argument is the same window that licenses
-//! [`EventQueue::pop_run`]: any event an event at time `t` can cause
-//! lands at or after `t + W`, with lookahead
-//! `W = comp_delay + min_offdiag_link`. Each epoch the coordinator
-//! probes every shard queue's [`EventQueue::peek_at`] (and the shared
-//! source-change stream) for the global minimum `t_min`, then lets
-//! every shard drain independently below
-//! `T = min(t_min + W, next_fault_control)`: all events strictly below
-//! `T` are mutually reorder-free across shards, so the per-shard pop
-//! orders compose into a valid global order. Cross-shard sends stage in
-//! per-shard outboxes, are merged at the epoch barrier in global
-//! creation order, and are re-stamped from one run-wide counter —
-//! which is what preserves the strictly-increasing-stamp push contract
-//! on every shard queue (each queue receives an ascending subsequence
-//! of the merged stamp sequence).
-//!
 //! The heap also wins two structural niches: backlogs sitting at a
 //! handful of *identical* timestamps (no width separates ties), and pure
 //! bulk seed-then-drain with no interleaved churn (every event then
@@ -187,6 +168,15 @@
 //! 5.54 ms at 32 Ki, 58.5 vs 57.9 ms at 256 Ki). Buckets average a
 //! handful of events and 58% of inserts already take the append fast
 //! path, so there is nothing for laziness to save.
+//!
+//! # One sequential drive
+//!
+//! Every run drains exactly one queue of this trait, on one thread. The
+//! lookahead window that licenses [`EventQueue::pop_run`] (any event an
+//! event at `t` can cause lands at or after `t + W`, with
+//! `W = comp_delay + min_offdiag_link`) is spent on temporal batching
+//! only; "Using more cores" in the crate docs says why no run is split
+//! across threads.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -294,15 +284,6 @@ pub trait EventQueue<T: Copy> {
         max: usize,
         out: &mut Vec<(u64, T)>,
     ) -> usize;
-
-    /// The minimal pending `at_us`, without removing anything. Unlike a
-    /// failed [`EventQueue::pop_lt`] probe this must never migrate
-    /// events between a backend's internal tiers: it is the shard
-    /// coordinator's `t_min` probe, issued against every shard queue at
-    /// every epoch barrier, so it has to be cheap and strictly
-    /// non-structural. (Cursor advances that only memoize the search
-    /// position are fine.)
-    fn peek_at(&mut self) -> Option<u64>;
 
     /// Appends every pending event to `out` in exactly the order
     /// repeated [`EventQueue::pop`] calls would drain them, **without
@@ -472,11 +453,6 @@ impl<T: Copy> EventQueue<T> for HeapQueue<T> {
             }
         }
         n
-    }
-
-    #[inline]
-    fn peek_at(&mut self) -> Option<u64> {
-        self.heap.peek().map(|Reverse(s)| s.at_us)
     }
 
     fn snapshot_events(&self, out: &mut Vec<(u64, T)>) {
@@ -1092,22 +1068,6 @@ impl<T: Copy> EventQueue<T> for CalendarQueue<T> {
         n
     }
 
-    fn peek_at(&mut self) -> Option<u64> {
-        if self.cal_len == 0 {
-            // Deliberately no `advance_year`: a peek must not migrate
-            // overflow events into the calendar (the epoch coordinator
-            // probes every shard queue between drains, and a structural
-            // mutation per probe would churn the tiers for nothing).
-            return self.overflow.peek().map(|Reverse(s)| s.at_us);
-        }
-        // The tier invariant (calendar events < boundary ≤ overflow
-        // events) makes the calendar minimum the global minimum whenever
-        // the calendar tier is non-empty. `locate_min` only persists the
-        // cursor, which is a search memo, not a structural change.
-        let b = self.locate_min();
-        self.buckets[b].front().map(|s| s.at_us)
-    }
-
     fn snapshot_events(&self, out: &mut Vec<(u64, T)>) {
         // Calendar tier: equal keys always share a day (`at_us` maps to
         // one day, a day to one bucket) and bucket order is FIFO, so
@@ -1177,41 +1137,6 @@ mod tests {
         // Payloads are creation stamps, so the strict (time, creation)
         // order is directly checkable on the output.
         assert!(c.windows(2).all(|w| w[0] < w[1]));
-    }
-
-    #[test]
-    fn peek_at_reports_the_minimum_without_migrating_tiers() {
-        let mut cal: CalendarQueue<u64> = CalendarQueue::with_capacity(4);
-        let mut heap: HeapQueue<u64> = HeapQueue::with_capacity(4);
-        assert_eq!(cal.peek_at(), None);
-        assert_eq!(heap.peek_at(), None);
-        // Far-future keys land in the overflow tier; the probe must
-        // report them without crossing the year boundary.
-        for (seq, &at) in [u64::MAX / 2, u64::MAX / 2 + 7, 3_000_000_000].iter().enumerate() {
-            cal.push(at, seq as u64, at);
-            heap.push(at, seq as u64, at);
-        }
-        assert_eq!(cal.cal_len, 0, "far-future pushes stay in overflow");
-        assert_eq!(cal.peek_at(), Some(3_000_000_000));
-        assert_eq!(cal.cal_len, 0, "peek_at must not migrate tiers");
-        assert_eq!(heap.peek_at(), Some(3_000_000_000));
-        // A near key lands in the calendar tier and becomes the head.
-        cal.push(100, 3, 100);
-        heap.push(100, 3, 100);
-        assert_eq!(cal.cal_len, 1);
-        assert_eq!(cal.peek_at(), Some(100));
-        assert_eq!(heap.peek_at(), Some(100));
-        // The probe agrees with the pop head through a full drain.
-        loop {
-            let want = cal.peek_at();
-            assert_eq!(want, heap.peek_at());
-            let got = cal.pop();
-            assert_eq!(got.map(|e| e.0), want);
-            assert_eq!(heap.pop(), got);
-            if got.is_none() {
-                break;
-            }
-        }
     }
 
     #[test]

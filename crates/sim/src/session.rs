@@ -408,9 +408,9 @@ fn faulty_arrival<O: Observer>(
 
 /// Folds one scheduled event into `h` in decoded form: NaN-boxed
 /// tag-table ids are resolved to their `(value, tag)` pairs first, so
-/// digests agree across sessions whose tables interned the same pairs
-/// under different ids (a sharded-barrier restore vs the sequential
-/// run). Source changes fold the node sentinel and an impossible tag
+/// the digest covers the pairs an event carries, not the ids a table
+/// happened to assign them (representation, like the stamp counter a
+/// restore restarts). Source changes fold the node sentinel and an impossible tag
 /// pattern, keeping the two event shapes disjoint in the stream.
 fn digest_event(h: &mut Fnv1a, at_us: u64, kind: EventKind, tags: &TagTable) {
     h.write_u64(at_us);
@@ -580,9 +580,8 @@ impl<Q: EventQueue<EventKind>, O: Observer> Session<Q, O> {
     ///
     /// Scheduled events are digested in *decoded* form (tag-table ids
     /// resolved to their `(value, tag)` pairs) and the stamp counter is
-    /// skipped, so a resumed session digests equal to its source and a
-    /// sharded-barrier restore digests equal to the sequential run —
-    /// re-interned ids and restarted stamps are representation, not
+    /// skipped, so a resumed session digests equal to its source —
+    /// tag-table ids and restarted stamps are representation, not
     /// state. `now_us` is also skipped: it does not affect run-to-end
     /// behavior, only where a next injection would land.
     pub fn state_digest(&self) -> u64 {

@@ -2,10 +2,8 @@
 //!
 //! A [`Snapshot`] is a compact owned copy of everything a
 //! [`Session`](crate::Session)'s future depends on, taken at any
-//! quiescent step boundary (between `step` / `run_until` calls, where
-//! no run is half-staged) — or at an epoch barrier of a sharded run,
-//! where the per-shard queues are quiescent and the per-shard state
-//! merges exactly (see `shard::snapshot_sharded`).
+//! quiescent step boundary of the one sequential drive (between
+//! `step` / `run_until` calls, where no run is half-staged).
 //!
 //! The design premise is that the engine's state is already **flat**:
 //! CSR row/edge tables, 16-byte fidelity pair records, a `Vec` of

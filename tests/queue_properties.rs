@@ -109,30 +109,29 @@ fn overload_rebuild_demotions_keep_negative_stamp_order() {
     assert_three_way_agreement(&keys);
 }
 
-/// Models the sharded engine's barrier exchange (`route_outboxes` in
-/// `d3t-sim`'s shard runner): per-shard epoch outboxes, each already in
-/// its shard's deterministic creation order, are concatenated, merged
-/// on the `(at_ev, phase, sec, k)` creation key, re-stamped from one
-/// run-wide counter, and delivered to owner + mirror queues — so every
-/// queue receives an ascending-stamp *subsequence* of the merge. The
+/// Several event sources, each emitting in its own deterministic
+/// creation order, are concatenated, merged on a `(at_ev, phase, sec,
+/// k)` creation key, re-stamped from one run-wide counter, and delivered
+/// to owner + mirror queues — so every queue receives an ascending-stamp
+/// *subsequence* of the merge, with gaps between consecutive stamps. The
 /// arrival times are drawn from three instants, so nearly everything
 /// ties: the drain out of both backends must equal the stable model
 /// order, meaning the merge key alone — never insertion history or
-/// backend internals — decides every tie. `peek_at` (the coordinator's
-/// epoch-floor probe) rides along on both backends.
+/// backend internals — decides every tie. The non-mutating
+/// `snapshot_events` probe must report that same order before the drain.
 #[test]
 fn epoch_merge_restamping_survives_tie_storms() {
-    const SHARDS: usize = 4;
+    const QUEUES: usize = 4;
     for round in 0..20u64 {
         let mut rng = StdRng::seed_from_u64(0xE90C ^ (round + 1));
-        // Outbox entries, keyed like OutEntry: at_ev strides keep keys
-        // disjoint across shards (real stamps are globally unique), and
-        // (phase, sec, k) orders the sends of one generating event.
+        // Source entries: at_ev strides keep keys disjoint across
+        // sources (stamps are globally unique), and (phase, sec, k)
+        // orders the sends of one generating event.
         let mut merged: Vec<((u64, u8, u64, u32), u64)> = Vec::new();
-        for shard in 0..SHARDS as u64 {
-            let mut at_ev = shard;
+        for source in 0..QUEUES as u64 {
+            let mut at_ev = source;
             for _ in 0..40 + below(&mut rng, 80) {
-                at_ev += SHARDS as u64 * (1 + below(&mut rng, 3));
+                at_ev += QUEUES as u64 * (1 + below(&mut rng, 3));
                 let phase = below(&mut rng, 2) as u8;
                 let sec = below(&mut rng, 4);
                 for k in 0..1 + below(&mut rng, 6) as u32 {
@@ -143,14 +142,14 @@ fn epoch_merge_restamping_survives_tie_storms() {
         }
         merged.sort_unstable_by_key(|&(key, _)| key);
         let mut cals: Vec<CalendarQueue<u64>> =
-            (0..SHARDS).map(|_| CalendarQueue::with_capacity(0)).collect();
+            (0..QUEUES).map(|_| CalendarQueue::with_capacity(0)).collect();
         let mut heaps: Vec<HeapQueue<u64>> =
-            (0..SHARDS).map(|_| HeapQueue::with_capacity(0)).collect();
-        let mut models: Vec<Vec<(u64, u64)>> = vec![Vec::new(); SHARDS];
+            (0..QUEUES).map(|_| HeapQueue::with_capacity(0)).collect();
+        let mut models: Vec<Vec<(u64, u64)>> = vec![Vec::new(); QUEUES];
         for (g, &(_, arrival)) in merged.iter().enumerate() {
             let g = g as u64;
-            let owner = below(&mut rng, SHARDS as u64) as usize;
-            let mirror = below(&mut rng, SHARDS as u64) as usize;
+            let owner = below(&mut rng, QUEUES as u64) as usize;
+            let mirror = below(&mut rng, QUEUES as u64) as usize;
             cals[owner].push(arrival, g, g);
             heaps[owner].push(arrival, g, g);
             models[owner].push((arrival, g));
@@ -160,16 +159,15 @@ fn epoch_merge_restamping_survives_tie_storms() {
                 models[mirror].push((arrival, g));
             }
         }
-        for q in 0..SHARDS {
+        for q in 0..QUEUES {
             models[q].sort(); // payload = stamp, so plain sort is the stable order
-            assert_eq!(
-                cals[q].peek_at(),
-                heaps[q].peek_at(),
-                "peek_at diverged on shard {q} round {round}"
-            );
-            assert_eq!(cals[q].peek_at(), models[q].first().map(|&(at, _)| at));
-            assert_eq!(drain(&mut cals[q]), models[q], "calendar shard {q} round {round}");
-            assert_eq!(drain(&mut heaps[q]), models[q], "heap shard {q} round {round}");
+            let (mut cal_snap, mut heap_snap) = (Vec::new(), Vec::new());
+            cals[q].snapshot_events(&mut cal_snap);
+            heaps[q].snapshot_events(&mut heap_snap);
+            assert_eq!(cal_snap, heap_snap, "snapshot diverged on queue {q} round {round}");
+            assert_eq!(cal_snap, models[q], "calendar snapshot queue {q} round {round}");
+            assert_eq!(drain(&mut cals[q]), models[q], "calendar queue {q} round {round}");
+            assert_eq!(drain(&mut heaps[q]), models[q], "heap queue {q} round {round}");
         }
     }
 }

@@ -239,71 +239,6 @@ fn state_digest_is_representation_free_and_splits_divergent_states() {
 }
 
 #[test]
-fn sharded_barrier_snapshot_digests_equal_to_sequential() {
-    // A sharded prefix capture must merge back into exactly the
-    // sequential state: same digest as the N = 1 snapshot at the same
-    // instant, and a resume that finishes bit-identical to the
-    // uninterrupted sequential run. Crash-only plans keep the sharded
-    // path eligible (lossy/degraded plans fall back by design).
-    for protocol in PROTOCOLS {
-        for seed in [0x5EED_u64, 4242] {
-            let cfg = small(protocol, seed);
-            let p1 = Prepared::build(&cfg);
-            let plan = FaultPlan {
-                crashes: vec![
-                    CrashSpec {
-                        repo: 0,
-                        at_us: p1.end_us / 4,
-                        recover_at_us: None,
-                        subtree: false,
-                    },
-                    CrashSpec {
-                        repo: 2,
-                        at_us: p1.end_us / 3,
-                        recover_at_us: Some(p1.end_us * 2 / 3),
-                        subtree: true,
-                    },
-                ],
-                repair: RepairSpec {
-                    policy: RepairPolicy::Reparent,
-                    detect_timeout_us: 150_000,
-                    base_backoff_us: 20_000,
-                    max_backoff_us: 300_000,
-                },
-                seed: seed ^ 0xF00D,
-                ..Default::default()
-            };
-            let fork_us = p1.end_us / 2;
-            let mut cfg_faulted = cfg.clone();
-            cfg_faulted.fault = plan;
-            let p1 = Prepared::build(&cfg_faulted);
-            let seq_snap = p1.snapshot_at(fork_us);
-            let seq_digest = p1.resume(&seq_snap).state_digest();
-            let reference = format!("{:?}", p1.session().run_to_end());
-            for n_shards in [2usize, 4] {
-                let mut cfg_n = cfg_faulted.clone();
-                cfg_n.n_shards = n_shards;
-                let pn = Prepared::build(&cfg_n);
-                let snap = pn.snapshot_at(fork_us);
-                let digest = pn.resume(&snap).state_digest();
-                assert_eq!(
-                    digest, seq_digest,
-                    "{protocol:?}/{seed}/N={n_shards}: barrier merge diverged from sequential"
-                );
-                let warm = {
-                    let s = p1.resume(&snap);
-                    format!("{:?}", s.run_to_end())
-                };
-                assert_eq!(
-                    warm, reference,
-                    "{protocol:?}/{seed}/N={n_shards}: resume from barrier snapshot diverged"
-                );
-            }
-        }
-    }
-}
-
-#[test]
 fn branch_from_fault_free_prefix_equals_cold_run_with_the_plan() {
     // The what-if shape: a fault-free shared prefix, then N divergent
     // futures. A branch that adopts a plan whose controls all fire
